@@ -98,10 +98,6 @@ class GridHeader:
         )
 
 
-def headers_aligned(a: GridHeader, b: GridHeader, tol: float = ALIGN_TOL) -> bool:
-    return misaligned_field(a, b, tol) is None
-
-
 def misaligned_field(a: GridHeader, b: GridHeader, tol: float = ALIGN_TOL) -> str | None:
     """Name of the first differing header field, or None when aligned."""
     if a.ncols != b.ncols:
@@ -343,9 +339,6 @@ class GridStack:
         """True where every band carries data."""
         return (self.data != self.header.nodata_value).all(axis=0)
 
-    def vector_at(self, row: int, col: int) -> np.ndarray:
-        return self.data[:, row, col].copy()
-
 
 def build_stack(bands: list[tuple[str, Grid]]) -> GridStack:
     """Stack aligned single-band grids; error names the first differing field."""
@@ -365,10 +358,6 @@ def build_stack(bands: list[tuple[str, Grid]]) -> GridStack:
             )
     data = np.stack([g.values for _, g in bands])
     return GridStack(replace(ref.header), tuple(names), data)
-
-
-def stack_from_grids(header: GridHeader, named: list[tuple[str, np.ndarray]]) -> GridStack:
-    return build_stack([(n, Grid(header, a)) for n, a in named])
 
 
 def apply_mask(stack: GridStack, mask: Grid) -> GridStack:

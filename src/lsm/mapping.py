@@ -1,9 +1,11 @@
 """Full-raster susceptibility inference and map classification.
 
-Inference scores every feasible cell with a trained checkpoint, building
-each sample exactly the way the sampling module does (band vector or
-centered square patch). Classification uses exact Fisher-Jenks natural
-breaks with an upper-bound-inclusive boundary rule.
+``_gather_patches`` is the one place model inputs are cut from a stack:
+band vectors for window 1, centered square patches otherwise. Inference
+uses it over every feasible cell, and the pipeline uses it over the sample
+points for diagnose, train and evaluate, so a sample is built the same way
+in every stage. Classification uses exact Fisher-Jenks natural breaks with
+an upper-bound-inclusive boundary rule.
 """
 
 from __future__ import annotations
@@ -22,13 +24,14 @@ from lsm.sampling import window_feasible_mask
 JENKS_CAP = 10000
 N_CLASSES = 5
 
-CLASS_NAMES = ("very low", "low", "moderate", "high", "very high")
-
 
 def _gather_patches(stack: GridStack, rows: np.ndarray, cols: np.ndarray,
                     window: int) -> np.ndarray:
-    """(n, window, window, bands) patches centered on the given cells; the
-    caller guarantees feasibility."""
+    """Model inputs centered on the given cells: (n, bands) band vectors
+    for window 1, else (n, window, window, bands) patches. The caller
+    guarantees that every cell passes ``window_feasible_mask``."""
+    if window == 1:
+        return np.ascontiguousarray(stack.data[:, rows, cols].T)
     k = window // 2
     view = np.lib.stride_tricks.sliding_window_view(
         stack.data, (window, window), axis=(1, 2))
@@ -38,18 +41,12 @@ def _gather_patches(stack: GridStack, rows: np.ndarray, cols: np.ndarray,
 
 def infer_raster(ckpt: Checkpoint, stack: GridStack,
                  reducer: PcaModel | None = None,
-                 batch_size: int = PREDICT_BATCH,
-                 chunk_range: tuple[int, int] | None = None) -> Grid:
+                 batch_size: int = PREDICT_BATCH) -> Grid:
     """Score every feasible cell of the stack; all other cells are nodata.
 
     Vector models score every all-bands-valid cell; patch models score the
     cells whose full window is in bounds and valid. Cells are processed in
-    row-major order in fixed batches of ``batch_size``, so any partition of
-    the batch sequence (see ``chunk_range``) reproduces identical numbers.
-
-    ``chunk_range=(a, b)`` scores only batches a..b-1 and leaves the rest
-    nodata, which is the tiling hook; merging disjoint ranges equals a
-    single pass.
+    row-major order in fixed batches of ``batch_size``.
     """
     spec = ckpt.spec
     if ckpt.pca_hash is not None and reducer is None:
@@ -73,18 +70,11 @@ def infer_raster(ckpt: Checkpoint, stack: GridStack,
         raise ValueError(f"band-count mismatch: stack has {n_bands} bands, "
                          f"model expects {p_model}")
 
-    feasible = stack.valid_mask() if window == 1 else window_feasible_mask(stack, window)
-    rows, cols = np.nonzero(feasible)
+    rows, cols = np.nonzero(window_feasible_mask(stack, window))
     scores = np.full(stack.data.shape[1:], stack.header.nodata_value)
-    n_chunks = (rows.size + batch_size - 1) // batch_size
-    lo, hi = chunk_range if chunk_range is not None else (0, n_chunks)
-    for chunk in range(max(lo, 0), min(hi, n_chunks)):
-        sl = slice(chunk * batch_size, (chunk + 1) * batch_size)
-        r, c = rows[sl], cols[sl]
-        if window == 1:
-            x = stack.data[:, r, c].T.copy()
-        else:
-            x = _gather_patches(stack, r, c, window)
+    for start in range(0, rows.size, batch_size):
+        r, c = rows[start : start + batch_size], cols[start : start + batch_size]
+        x = _gather_patches(stack, r, c, window)
         if reducer is not None:
             x = pca_transform_features(reducer, x)
         scores[r, c] = predict_batch(ckpt, x, batch_size=batch_size)

@@ -457,18 +457,19 @@ def maxpool2d(x, size: int = 2) -> Tensor:
     return _make(out_data, (x,), backward)
 
 
-def bce_with_logits(logits, targets) -> Tensor:
-    """Mean binary cross-entropy between logits and {0,1} targets.
+def _bce_terms(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Elementwise binary cross-entropy of logits z against {0,1} targets y,
+    as max(z, 0) - z*y + log(1 + exp(-|z|)), which is stable for large |z|."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
 
-    Computed as mean(max(z, 0) - z*y + log(1 + exp(-|z|))), which is stable
-    for large |z|.
-    """
+
+def bce_with_logits(logits, targets) -> Tensor:
+    """Mean binary cross-entropy between logits and {0,1} targets."""
     logits = as_tensor(logits)
     y = np.asarray(targets, dtype=np.float64).reshape(logits.data.shape)
     z = logits.data
-    with np.errstate(over="ignore", invalid="ignore"):
-        loss = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    out_data = np.array(loss.mean())
+    out_data = np.array(_bce_terms(z, y).mean())
 
     def backward(g):
         logits._accumulate(g * (_sigmoid(z) - y) / z.size)

@@ -132,16 +132,6 @@ class MaxPool2D(Layer):
         return maxpool2d(x, self.size)
 
 
-class GlobalAvgPool1D(Layer):
-    def __call__(self, x: Tensor) -> Tensor:
-        return mean(x, axis=1)
-
-
-class GlobalAvgPool2D(Layer):
-    def __call__(self, x: Tensor) -> Tensor:
-        return mean(x, axis=(1, 2))
-
-
 class Flatten(Layer):
     """Collapses every non-batch axis into one feature axis."""
 

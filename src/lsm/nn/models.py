@@ -2,13 +2,18 @@
 
 A ModelSpec is a declarative description (architecture family, input shape,
 layer list, init seed); ``build`` turns it into a Model with allocated
-weights. Shape compatibility is checked symbolically before any weight is
-drawn, so a bad spec never allocates.
+weights. Each layer kind is described once, in the ``_KINDS`` table: the
+input layout it accepts, its symbolic shape rule, its weight count, and its
+constructor. ``validate_spec``, ``param_count`` and ``build`` all walk that
+table, so shape compatibility is checked before any weight is drawn and a
+bad spec never allocates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -19,11 +24,7 @@ from lsm.nn.layers import (
     Conv2D,
     Dense,
     Flatten,
-    GlobalAvgPool1D,
-    GlobalAvgPool2D,
-    LayerNorm,
     MaxPool2D,
-    MultiHeadAttention,
     PositionalEmbedding,
     SelectToken,
     TransformerBlock,
@@ -84,124 +85,145 @@ def _initial_state(spec: ModelSpec):
     raise ValueError(f"unknown architecture {spec.arch!r}; expected one of {ARCHS}")
 
 
-def _step_shape(state, i: int, d: dict):
-    """Advance the symbolic shape through one layer descriptor."""
-    kind = d["type"]
+def _conv_shape(state, d: dict):
+    k = d.get("kernel", 3)
+    dims = state[1:-1]
+    if d.get("padding", "same") == "valid":
+        dims = tuple(n - k + 1 for n in dims)
+        if min(dims) < 1:
+            what = "length" if len(dims) == 1 else "spatial size"
+            raise ValueError(f"valid padding needs {what} >= {k}")
+    return (state[0], *dims, d["filters"])
 
-    def err(msg):
-        return ValueError(f"layer {i} ({kind}): {msg}")
 
-    if kind == "conv1d":
-        if state[0] != "seq":
-            raise err(f"needs a sequence input, has {state}")
-        _, length, _ = state
-        k = d.get("kernel", 3)
-        if d.get("padding", "same") == "valid":
-            length = length - k + 1
-            if length < 1:
-                raise err(f"valid padding needs length >= {k}")
-        return ("seq", length, d["filters"])
-    if kind == "conv2d":
-        if state[0] != "grid":
-            raise err(f"needs a 2-D input, has {state}")
-        _, h, w, _ = state
-        k = d.get("kernel", 3)
-        if d.get("padding", "same") == "valid":
-            h, w = h - k + 1, w - k + 1
-            if h < 1 or w < 1:
-                raise err(f"valid padding needs spatial size >= {k}")
-        return ("grid", h, w, d["filters"])
-    if kind == "maxpool2d":
-        if state[0] != "grid":
-            raise err(f"needs a 2-D input, has {state}")
-        _, h, w, c = state
-        s = d.get("size", 2)
-        h, w = h // s, w // s
-        if h < 1 or w < 1:
-            raise err(f"pool window {s} exceeds the input")
-        return ("grid", h, w, c)
-    if kind == "global_avg_pool":
-        if state[0] == "seq":
-            return ("flat", state[2])
-        if state[0] == "grid":
-            return ("flat", state[3])
-        raise err(f"needs a spatial input, has {state}")
-    if kind == "flatten":
-        if state[0] == "seq":
-            return ("flat", state[1] * state[2])
-        if state[0] == "grid":
-            return ("flat", state[1] * state[2] * state[3])
-        raise err(f"needs a spatial input, has {state}")
-    if kind == "dense":
-        if state[0] != "flat":
-            raise err(f"needs a flat input, has {state}")
-        return ("flat", d["units"])
-    if kind == "token_embed":
-        if state[0] != "seq":
-            raise err(f"needs a sequence input, has {state}")
-        return ("seq", state[1], d["dim"])
-    if kind == "pos_embed":
-        if state[0] != "seq":
-            raise err(f"needs a sequence input, has {state}")
-        return state
-    if kind == "cls_token":
-        if state[0] != "seq":
-            raise err(f"needs a sequence input, has {state}")
-        return ("seq", state[1] + 1, state[2])
-    if kind == "transformer":
-        if state[0] != "seq":
-            raise err(f"needs a sequence input, has {state}")
-        dim = state[2]
-        heads = d.get("heads", 4)
-        if dim % heads != 0:
-            raise err(f"width {dim} not divisible by {heads} heads")
-        return state
-    if kind == "select_token":
-        if state[0] != "seq":
-            raise err(f"needs a sequence input, has {state}")
-        if not (0 <= d.get("index", 0) < state[1]):
-            raise err(f"token index {d.get('index', 0)} out of range for {state[1]} tokens")
-        return ("flat", state[2])
-    raise err("unknown layer type")
+def _pool_shape(state, d: dict):
+    _, h, w, c = state
+    s = d.get("size", 2)
+    if h // s < 1 or w // s < 1:
+        raise ValueError(f"pool window {s} exceeds the input")
+    return ("grid", h // s, w // s, c)
+
+
+def _transformer_shape(state, d: dict):
+    dim, heads = state[2], d.get("heads", 4)
+    if dim % heads != 0:
+        raise ValueError(f"width {dim} not divisible by {heads} heads")
+    return state
+
+
+def _select_shape(state, d: dict):
+    index = d.get("index", 0)
+    if not (0 <= index < state[1]):
+        raise ValueError(f"token index {index} out of range for {state[1]} tokens")
+    return ("flat", state[2])
+
+
+def _conv_params(state, d: dict) -> int:
+    k, f = d.get("kernel", 3), d["filters"]
+    return k ** (len(state) - 2) * state[-1] * f + f
+
+
+def _transformer_params(state, d: dict) -> int:
+    dim, hidden = state[2], d.get("hidden", 128)
+    return (2 * (2 * dim)                       # two layer norms
+            + 4 * (dim * dim + dim)             # q, k, v, output projections
+            + dim * hidden + hidden + hidden * dim + dim)
+
+
+def _conv(layer_cls):
+    def make(rng, state, d: dict):
+        return layer_cls(rng, state[-1], d["filters"], d.get("kernel", 3),
+                         d.get("padding", "same"), d.get("activation", "relu"))
+    return make
+
+
+class _Kind(NamedTuple):
+    """One layer kind: the input layout it takes, how it maps the symbolic
+    shape state, how many weights it holds, and how it is constructed.
+    Each function receives the state before the layer and the descriptor."""
+
+    takes: str
+    shape: Callable
+    params: Callable
+    make: Callable
+
+
+# accepted state forms and their wording in shape errors, per ``takes``
+_TAKES = {
+    "seq": (("seq",), "a sequence"),
+    "grid": (("grid",), "a 2-D"),
+    "flat": (("flat",), "a flat"),
+    "spatial": (("seq", "grid"), "a spatial"),
+}
+
+
+def _no_params(state, d: dict) -> int:
+    return 0
+
+
+_KINDS = {
+    "conv1d": _Kind("seq", _conv_shape, _conv_params, _conv(Conv1D)),
+    "conv2d": _Kind("grid", _conv_shape, _conv_params, _conv(Conv2D)),
+    "maxpool2d": _Kind(
+        "grid", _pool_shape, _no_params,
+        lambda rng, s, d: MaxPool2D(d.get("size", 2))),
+    "flatten": _Kind(
+        "spatial", lambda s, d: ("flat", math.prod(s[1:])), _no_params,
+        lambda rng, s, d: Flatten()),
+    "dense": _Kind(
+        "flat", lambda s, d: ("flat", d["units"]),
+        lambda s, d: s[1] * d["units"] + d["units"],
+        lambda rng, s, d: Dense(rng, s[1], d["units"], d.get("activation", "none"))),
+    "token_embed": _Kind(
+        "seq", lambda s, d: ("seq", s[1], d["dim"]),
+        lambda s, d: s[2] * d["dim"] + d["dim"],
+        lambda rng, s, d: Dense(rng, s[2], d["dim"], activation="none")),
+    "pos_embed": _Kind(
+        "seq", lambda s, d: s, lambda s, d: s[1] * s[2],
+        lambda rng, s, d: PositionalEmbedding(rng, s[1], s[2])),
+    "cls_token": _Kind(
+        "seq", lambda s, d: ("seq", s[1] + 1, s[2]), lambda s, d: s[2],
+        lambda rng, s, d: ClsToken(rng, s[2])),
+    "transformer": _Kind(
+        "seq", _transformer_shape, _transformer_params,
+        lambda rng, s, d: TransformerBlock(rng, s[2], d.get("heads", 4),
+                                           d.get("hidden", 128))),
+    "select_token": _Kind(
+        "seq", _select_shape, _no_params,
+        lambda rng, s, d: SelectToken(d.get("index", 0))),
+}
+
+
+def _walk(spec: ModelSpec) -> list[tuple[dict, _Kind, tuple]]:
+    """Check that layer shapes compose and the model ends in one logit;
+    returns each layer's descriptor, kind, and input shape state."""
+    state = _initial_state(spec)
+    steps = []
+    for i, d in enumerate(spec.layers):
+        kind = _KINDS.get(d["type"])
+        try:
+            if kind is None:
+                raise ValueError("unknown layer type")
+            forms, wording = _TAKES[kind.takes]
+            if state[0] not in forms:
+                raise ValueError(f"needs {wording} input, has {state}")
+            steps.append((d, kind, state))
+            state = kind.shape(state, d)
+        except ValueError as e:
+            raise ValueError(f"layer {i} ({d['type']}): {e}") from None
+    if state != ("flat", 1):
+        raise ValueError(f"model must end with a single logit, ends with {state}")
+    return steps
 
 
 def validate_spec(spec: ModelSpec) -> None:
     """Check that layer shapes compose and the model ends in one logit."""
-    state = _initial_state(spec)
-    for i, d in enumerate(spec.layers):
-        state = _step_shape(state, i, d)
-    if state != ("flat", 1):
-        raise ValueError(f"model must end with a single logit, ends with {state}")
+    _walk(spec)
 
 
 def param_count(spec: ModelSpec) -> int:
     """Number of weights, from the declared shapes alone."""
-    validate_spec(spec)
-    state = _initial_state(spec)
-    total = 0
-    for i, d in enumerate(spec.layers):
-        kind = d["type"]
-        if kind == "conv1d":
-            k = d.get("kernel", 3)
-            total += k * state[2] * d["filters"] + d["filters"]
-        elif kind == "conv2d":
-            k = d.get("kernel", 3)
-            total += k * k * state[3] * d["filters"] + d["filters"]
-        elif kind == "dense":
-            total += state[1] * d["units"] + d["units"]
-        elif kind == "token_embed":
-            total += state[2] * d["dim"] + d["dim"]
-        elif kind == "pos_embed":
-            total += state[1] * state[2]
-        elif kind == "cls_token":
-            total += state[2]
-        elif kind == "transformer":
-            dim, hidden = state[2], d.get("hidden", 128)
-            total += 2 * (2 * dim)                      # two layer norms
-            total += 4 * (dim * dim + dim)              # q, k, v, output projections
-            total += dim * hidden + hidden + hidden * dim + dim
-        state = _step_shape(state, i, d)
-    return total
+    return sum(kind.params(state, d) for d, kind, state in _walk(spec))
 
 
 class Model:
@@ -278,39 +300,9 @@ class Model:
 def build(spec: ModelSpec) -> Model:
     """Instantiate a Model, drawing every weight from one generator seeded
     with spec.seed so identical specs build identical models."""
-    validate_spec(spec)
+    steps = _walk(spec)
     rng = np.random.default_rng(spec.seed)
-    state = _initial_state(spec)
-    layers = []
-    for i, d in enumerate(spec.layers):
-        kind = d["type"]
-        if kind == "conv1d":
-            layers.append(Conv1D(rng, state[2], d["filters"], d.get("kernel", 3),
-                                 d.get("padding", "same"), d.get("activation", "relu")))
-        elif kind == "conv2d":
-            layers.append(Conv2D(rng, state[3], d["filters"], d.get("kernel", 3),
-                                 d.get("padding", "same"), d.get("activation", "relu")))
-        elif kind == "maxpool2d":
-            layers.append(MaxPool2D(d.get("size", 2)))
-        elif kind == "global_avg_pool":
-            layers.append(GlobalAvgPool1D() if state[0] == "seq" else GlobalAvgPool2D())
-        elif kind == "flatten":
-            layers.append(Flatten())
-        elif kind == "dense":
-            layers.append(Dense(rng, state[1], d["units"], d.get("activation", "none")))
-        elif kind == "token_embed":
-            layers.append(Dense(rng, state[2], d["dim"], activation="none"))
-        elif kind == "pos_embed":
-            layers.append(PositionalEmbedding(rng, state[1], state[2]))
-        elif kind == "cls_token":
-            layers.append(ClsToken(rng, state[2]))
-        elif kind == "transformer":
-            layers.append(TransformerBlock(rng, state[2], d.get("heads", 4),
-                                           d.get("hidden", 128)))
-        elif kind == "select_token":
-            layers.append(SelectToken(d.get("index", 0)))
-        state = _step_shape(state, i, d)
-    return Model(spec, layers)
+    return Model(spec, [kind.make(rng, state, d) for d, kind, state in steps])
 
 
 def build_cnn1d(p: int, seed: int) -> ModelSpec:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lsm.nn.autodiff import bce_with_logits
+from lsm.nn.autodiff import _bce_terms, bce_with_logits
 from lsm.nn.checkpoint import Checkpoint
 from lsm.nn.models import Model, ModelSpec, build
 from lsm.reduce import Standardizer
@@ -28,18 +28,6 @@ class TrainConfig:
     max_epochs: int = 100
     patience: int = 10
     seed: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "batch_size": self.batch_size,
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "seed": self.seed,
-        }
 
 
 class Adam:
@@ -87,10 +75,7 @@ def _mean_bce(model: Model, x: np.ndarray, y: np.ndarray, batch_size: int) -> fl
     for start in range(0, x.shape[0], batch_size):
         xb = x[start : start + batch_size]
         yb = y[start : start + batch_size]
-        z = model.predict_logits(xb)
-        with np.errstate(over="ignore", invalid="ignore"):
-            loss = np.maximum(z, 0.0) - z * yb + np.log1p(np.exp(-np.abs(z)))
-        total += float(loss.sum())
+        total += float(_bce_terms(model.predict_logits(xb), yb).sum())
     return total / x.shape[0]
 
 
@@ -167,17 +152,3 @@ def train(spec: ModelSpec, x_train: np.ndarray, y_train: np.ndarray,
     return Checkpoint(spec=spec, weights=best_weights.astype(np.float32),
                       standardizer=standardizer, pca_hash=pca_hash,
                       history=history, seeds=seeds)
-
-
-def predict_proba_array(model: Model, x: np.ndarray, batch_size: int = 512) -> np.ndarray:
-    """Chunked probability prediction with a fixed batch size."""
-    if x.shape[0] == 0:
-        return np.zeros(0)
-    parts = [model.predict_proba(x[s : s + batch_size])
-             for s in range(0, x.shape[0], batch_size)]
-    return np.concatenate(parts)
-
-
-def accuracy_score(model: Model, x: np.ndarray, y: np.ndarray) -> float:
-    p = predict_proba_array(model, x)
-    return float(((p >= 0.5).astype(np.float64) == np.asarray(y).reshape(-1)).mean())

@@ -29,7 +29,8 @@ from lsm.grid import (
     resample,
     write_ascii_grid,
 )
-from lsm.mapping import classify, infer_raster, jenks_breaks, occupancy, save_map
+from lsm.mapping import (_gather_patches, classify, infer_raster, jenks_breaks,
+                         occupancy, save_map)
 from lsm.nn.checkpoint import load_checkpoint, predict_batch, save_checkpoint
 from lsm.nn.models import build_cnn1d, build_cnn2d, build_vit
 from lsm.nn.training import TrainConfig, train
@@ -43,9 +44,8 @@ from lsm.reduce import (
     with_k,
 )
 from lsm.sampling import (
+    InventoryPoint,
     SampleSet,
-    extract_patch,
-    extract_vector,
     load_inventory,
     min_pair_distance,
     sample_negatives,
@@ -220,7 +220,7 @@ class PipelineConfig:
         _require_number(self.values, "training.beta2", lo=0, hi=1)
         _require_number(self.values, "training.eps", lo=0, lo_open=True)
         _require_number(self.values, "training.batch_size", lo=1, integer=True)
-        _require_number(self.values, "training.max_epochs", lo=0, integer=True)
+        _require_number(self.values, "training.max_epochs", lo=1, integer=True)
         _require_number(self.values, "training.patience", lo=1, integer=True)
         _require_number(self.values, "training.seed", integer=True)
         _require_number(self.values, "eval.threshold", lo=0, hi=1)
@@ -488,9 +488,21 @@ def load_samples(cfg: PipelineConfig) -> SampleSet:
     return SampleSet.from_csv(path, seed=int(cfg["sampling.seed"]))
 
 
-def _train_vectors(stack: GridStack, sample_set: SampleSet, part: str) -> np.ndarray:
-    pts = sample_set.subset(part)
-    return np.stack([extract_vector(stack, p) for p in pts])
+def _gather_samples(stack: GridStack, points: list[InventoryPoint], window: int,
+                    what: str) -> np.ndarray:
+    """Model inputs for the points, cut by the map's gather. Every point's
+    cell must pass the same feasibility mask the map scores."""
+    feasible = window_feasible_mask(stack, window)
+    rows = np.empty(len(points), dtype=np.intp)
+    cols = np.empty(len(points), dtype=np.intp)
+    for i, pt in enumerate(points):
+        cell = stack.header.cell_of(pt.x, pt.y)
+        if cell is None or not feasible[cell]:
+            raise StageError(f"{what}: sample point ({pt.x!r}, {pt.y!r}) is infeasible: "
+                             f"its {window}x{window} window leaves the raster or "
+                             "touches nodata")
+        rows[i], cols[i] = cell
+    return _gather_patches(stack, rows, cols, window)
 
 
 def stage_diagnose(cfg: PipelineConfig) -> dict:
@@ -498,7 +510,8 @@ def stage_diagnose(cfg: PipelineConfig) -> dict:
     lcf = load_stack(cfg, "lcf")
     embed = load_stack(cfg, "embed")
 
-    x_embed = _train_vectors(embed, sample_set, "train")
+    train_pts = sample_set.subset("train")
+    x_embed = _gather_samples(embed, train_pts, 1, "diagnose (embed)")
     std = fit_standardizer(x_embed)
     pca = pca_fit(x_embed, std)
     threshold = float(cfg["pca.threshold"])
@@ -515,7 +528,7 @@ def stage_diagnose(cfg: PipelineConfig) -> dict:
     model_path = os.path.join(out, "pca_model.json")
     _write_json(model_path, model.to_dict())
 
-    x_lcf = _train_vectors(lcf, sample_set, "train")
+    x_lcf = _gather_samples(lcf, train_pts, 1, "diagnose (lcf)")
     rep = collinearity(x_lcf, names=list(lcf.names))
     coll_csv = os.path.join(out, "collinearity.csv")
     rep.to_csv(coll_csv)
@@ -551,11 +564,8 @@ def _cell_inputs(cfg: PipelineConfig, model: str, representation: str,
                  reducer: PcaModel | None, part: str) -> tuple[np.ndarray, np.ndarray]:
     stack = stacks["lcf"] if representation == "lcf" else stacks["embed"]
     pts = sample_set.subset(part)
-    if model == "cnn1d":
-        x = np.stack([extract_vector(stack, p) for p in pts])
-    else:
-        window = int(cfg["sampling.window"])
-        x = np.stack([extract_patch(stack, p, window) for p in pts])
+    window = 1 if model == "cnn1d" else int(cfg["sampling.window"])
+    x = _gather_samples(stack, pts, window, cell_name(model, representation))
     if representation == "embed_pca":
         x = pca_transform_features(reducer, x)
     y = np.array([p.label for p in pts], dtype=np.float64)

@@ -1,4 +1,10 @@
-"""Sample construction: inventory loading, buffered negatives, splits, patches."""
+"""Sample construction: inventory loading, buffered negatives, splits, and
+window feasibility.
+
+The stages cut model inputs with ``lsm.mapping._gather_patches``;
+``extract_vector`` and ``extract_patch`` build one sample at a time and
+serve as the reference that gather is checked against.
+"""
 
 from __future__ import annotations
 
@@ -215,29 +221,6 @@ def extract_patch(stack: GridStack, point: InventoryPoint, size: int) -> np.ndar
     return np.moveaxis(block, 0, -1).copy()
 
 
-def extract_patches(
-    stack: GridStack, points: list[InventoryPoint], size: int
-) -> tuple[np.ndarray, list[int], int]:
-    """Patches for every extractable point.
-
-    Returns (tensor of shape (n_kept, size, size, n_bands), kept indices,
-    rejected count).
-    """
-    kept, arrays = [], []
-    for i, p in enumerate(points):
-        try:
-            arrays.append(extract_patch(stack, p, size))
-        except PatchRejected:
-            continue
-        kept.append(i)
-    n_rej = len(points) - len(kept)
-    if arrays:
-        tensor = np.stack(arrays)
-    else:
-        tensor = np.zeros((0, size, size, stack.n_bands))
-    return tensor, kept, n_rej
-
-
 def window_feasible_mask(stack: GridStack, size: int) -> np.ndarray:
     """True where a size x size window fits in bounds with every cell valid."""
     if size < 1 or size % 2 == 0:
@@ -258,10 +241,6 @@ def window_feasible_mask(stack: GridStack, size: int) -> np.ndarray:
 
 def points_xy(points: list[InventoryPoint]) -> np.ndarray:
     return np.array([(p.x, p.y) for p in points], dtype=np.float64).reshape(len(points), 2)
-
-
-def labels_of(points: list[InventoryPoint]) -> np.ndarray:
-    return np.array([p.label for p in points], dtype=np.float64)
 
 
 def min_pair_distance(a: list[InventoryPoint], b: list[InventoryPoint]) -> float:

@@ -23,6 +23,7 @@ import numpy as np
 
 from lsm.evaluate import roc_auc
 from lsm.grid import Grid, GridHeader, GridStack, derive_terrain, write_ascii_grid
+from lsm.nn.autodiff import _sigmoid
 from lsm.sampling import InventoryPoint
 
 log = logging.getLogger(__name__)
@@ -146,15 +147,6 @@ def gen_field(seed, size: tuple, correlation_length: float, cellsize: float = 30
     header = GridHeader(ncols=ncols, nrows=nrows, xllcorner=0.0, yllcorner=0.0,
                         cellsize=cellsize, nodata_value=NODATA)
     return Grid(header=header, values=values)
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 def _placement_margin(nrows: int, ncols: int) -> int:

@@ -172,21 +172,6 @@ class TestWholeModelGradients:
         ), seed=12)
         self._check(spec)
 
-    def test_tiny_pooled_heads(self):
-        # global average pooling over both layouts, kept alongside flatten
-        spec = ModelSpec("cnn1d", (5,), (
-            {"type": "conv1d", "filters": 3, "kernel": 3, "padding": "same", "activation": "relu"},
-            {"type": "global_avg_pool"},
-            {"type": "dense", "units": 1, "activation": "none"},
-        ), seed=14)
-        self._check(spec)
-        spec = ModelSpec("cnn2d", (5, 5, 2), (
-            {"type": "conv2d", "filters": 3, "kernel": 3, "padding": "same", "activation": "relu"},
-            {"type": "global_avg_pool"},
-            {"type": "dense", "units": 1, "activation": "none"},
-        ), seed=15)
-        self._check(spec)
-
     def test_tiny_vit(self):
         spec = ModelSpec("vit", (3, 3, 2), (
             {"type": "token_embed", "dim": 8},

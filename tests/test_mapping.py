@@ -310,20 +310,6 @@ class TestInferRaster:
                 assert scores.values[r, c] == NODATA
         assert scores.values[3, 3] != NODATA
 
-    def test_tiled_inference_bit_identical(self):
-        stack = random_stack(bands=3, n=24, seed=10)
-        ckpt = vector_checkpoint(3, seed=3)
-        single = infer_raster(ckpt, stack, batch_size=64)
-        n_cells = int(stack.valid_mask().sum())
-        n_chunks = (n_cells + 63) // 64
-        merged = np.full_like(single.values, NODATA)
-        split = n_chunks // 2
-        for rng_pair in ((0, split), (split, n_chunks)):
-            part = infer_raster(ckpt, stack, batch_size=64, chunk_range=rng_pair)
-            filled = part.values != NODATA
-            merged[filled] = part.values[filled]
-        assert np.array_equal(merged, single.values)
-
     def test_band_count_mismatch(self):
         stack = random_stack(bands=3, n=6)
         with pytest.raises(ValueError, match="band-count mismatch"):

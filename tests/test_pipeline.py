@@ -1,6 +1,7 @@
 """Config merging and validation, stage orchestration, report aggregation,
 and end-to-end determinism on a small synthetic scene."""
 
+import csv
 import hashlib
 import json
 import os
@@ -9,6 +10,8 @@ import shutil
 import numpy as np
 import pytest
 
+from lsm.cli import main as cli_main
+from lsm.grid import read_ascii_grid
 from lsm.pipeline import (
     CELLS,
     MODELS,
@@ -16,6 +19,7 @@ from lsm.pipeline import (
     ConfigError,
     PipelineConfig,
     StageError,
+    cell_name,
     compare_representations,
     run_stage,
 )
@@ -99,6 +103,7 @@ class TestConfigMerging:
             {"sampling": {"train_fraction": 0.0}},
             {"pca": {"threshold": 1.5}},
             {"training": {"batch_size": 0}},
+            {"training": {"max_epochs": 0}},
             {"training": {"learning_rate": 0.0}},
             {"eval": {"threshold": -0.1}},
             {"map": {"n_classes": 0}},
@@ -308,6 +313,52 @@ class TestStageChain:
                                               f"train/{model}_{rep}.json")))
             seeds.add((doc["seeds"]["init"], doc["seeds"]["shuffle"]))
         assert len(seeds) == len(CELLS)
+
+
+class TestInfeasibleSample:
+    """A sample point whose cell the map would not score stops train and
+    evaluate with a StageError, before that cell writes anything."""
+
+    def moved_copy(self, completed, tmp_path, cell):
+        out = str(tmp_path / "moved")
+        shutil.copytree(completed.out_dir, out)
+        with open(os.path.join(out, "ingest", "stack_lcf.json")) as fh:
+            band = json.load(fh)["bands"][0]["path"]
+        header = read_ascii_grid(os.path.join(out, "ingest", band)).header
+        x, y = header.cell_center(*cell)
+        path = os.path.join(out, "sample", "samples.csv")
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        moved = next(r for r in rows if r["split"] == "validation")
+        moved["x"], moved["y"] = repr(x), repr(y)
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=["x", "y", "label", "split"])
+            writer.writeheader()
+            writer.writerows(rows)
+        config = os.path.join(out, "run.json")
+        with open(config, "w") as fh:
+            json.dump(small_user_config(out), fh)
+        return out, config, f"({x!r}, {y!r})"
+
+    def assert_fails(self, stage, config, message, capsys):
+        capsys.readouterr()
+        assert cli_main([stage, "--config", config, "--quiet"]) == 3
+        assert message in capsys.readouterr().err
+
+    # (0, 0) has nodata in the terrain bands; (2, 2) has data but no 7x7 window
+    @pytest.mark.parametrize("cell,model", [((0, 0), "cnn1d"), ((2, 2), "cnn2d")])
+    def test_train_and_evaluate_reject_border_point(self, completed, tmp_path, capsys,
+                                                    cell, model):
+        out, config, point = self.moved_copy(completed, tmp_path, cell)
+        name = cell_name(model, "lcf")
+        message = f"lsm: {name}: sample point {point} is infeasible"
+        shutil.rmtree(os.path.join(out, "evaluate"))
+        self.assert_fails("evaluate", config, message, capsys)
+        assert not os.path.exists(os.path.join(out, "evaluate", f"{name}_metrics.json"))
+        shutil.rmtree(os.path.join(out, "train"))
+        self.assert_fails("train", config, message, capsys)
+        assert not os.path.exists(os.path.join(out, "train", f"{name}.json"))
+        assert not os.path.exists(os.path.join(out, "train", f"{name}.bin"))
 
 
 class TestMissingPrerequisites:

@@ -9,7 +9,6 @@ from lsm.sampling import (
     PatchRejected,
     SampleSet,
     extract_patch,
-    extract_patches,
     extract_vector,
     load_inventory,
     min_pair_distance,
@@ -180,19 +179,6 @@ class TestExtraction:
             extract_patch(stack, InventoryPoint(105.0, 165.0, 1), 3)  # window over (4,4)
         with pytest.raises(ValueError, match="odd"):
             extract_patch(stack, InventoryPoint(135.0, 135.0, 1), 4)
-
-    def test_extract_patches_counts_rejections(self):
-        stack = simple_stack(nodata_cells=[(4, 4)])
-        pts = [
-            InventoryPoint(255.0, 255.0, 1),
-            InventoryPoint(15.0, 15.0, 1),    # boundary
-            InventoryPoint(105.0, 165.0, 0),  # nodata window
-            InventoryPoint(225.0, 75.0, 0),
-        ]
-        tensor, kept, n_rej = extract_patches(stack, pts, 3)
-        assert n_rej == 2 and kept == [0, 3]
-        assert tensor.shape == (2, 3, 3, 2)
-        np.testing.assert_array_equal(tensor[0], extract_patch(stack, pts[0], 3))
 
     def test_window_feasible_mask_matches_bruteforce(self):
         rng = np.random.default_rng(31)
