@@ -40,13 +40,12 @@ def _gather_patches(stack: GridStack, rows: np.ndarray, cols: np.ndarray,
 
 
 def infer_raster(ckpt: Checkpoint, stack: GridStack,
-                 reducer: PcaModel | None = None,
-                 batch_size: int = PREDICT_BATCH) -> Grid:
+                 reducer: PcaModel | None = None) -> Grid:
     """Score every feasible cell of the stack; all other cells are nodata.
 
     Vector models score every all-bands-valid cell; patch models score the
     cells whose full window is in bounds and valid. Cells are processed in
-    row-major order in fixed batches of ``batch_size``.
+    row-major order in fixed batches of ``PREDICT_BATCH``.
     """
     spec = ckpt.spec
     if ckpt.pca_hash is not None and reducer is None:
@@ -72,12 +71,12 @@ def infer_raster(ckpt: Checkpoint, stack: GridStack,
 
     rows, cols = np.nonzero(window_feasible_mask(stack, window))
     scores = np.full(stack.data.shape[1:], stack.header.nodata_value)
-    for start in range(0, rows.size, batch_size):
-        r, c = rows[start : start + batch_size], cols[start : start + batch_size]
+    for start in range(0, rows.size, PREDICT_BATCH):
+        r, c = rows[start : start + PREDICT_BATCH], cols[start : start + PREDICT_BATCH]
         x = _gather_patches(stack, r, c, window)
         if reducer is not None:
             x = pca_transform_features(reducer, x)
-        scores[r, c] = predict_batch(ckpt, x, batch_size=batch_size)
+        scores[r, c] = predict_batch(ckpt, x)
     return Grid(header=stack.header, values=scores)
 
 

@@ -3,10 +3,15 @@
 A Tensor wraps a float64 ndarray and records its parents plus a backward
 closure; ``Tensor.backward`` walks the graph in reverse topological order
 and accumulates gradients in a fixed, deterministic order.
+
+``conv1d`` and ``conv2d`` are thin entry points to one routine, ``_conv``,
+which convolves over any number of spatial axes; a change to how the
+convolution is computed is made there once for both.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -84,22 +89,6 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    # Operator sugar used by the layers.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, idx):
         return getitem(self, idx)
@@ -252,17 +241,19 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _make(s, (a,), backward)
 
 
+def _unreduce(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -> np.ndarray:
+    """Broadcast a reduction's gradient back over the axes it reduced."""
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, shape).copy()
+
+
 def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if axis is None:
-            a._accumulate(np.broadcast_to(g, a.data.shape).copy())
-            return
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, a.data.shape).copy())
+        a._accumulate(_unreduce(g, a.data.shape, axis, keepdims))
 
     return _make(out_data, (a,), backward)
 
@@ -278,12 +269,7 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     out_data = a.data.mean(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if axis is None:
-            a._accumulate(np.broadcast_to(g / n, a.data.shape).copy())
-            return
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g / n, a.data.shape).copy())
+        a._accumulate(_unreduce(g / n, a.data.shape, axis, keepdims))
 
     return _make(out_data, (a,), backward)
 
@@ -344,89 +330,66 @@ def broadcast_to(a, shape) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def conv1d(x, w, b, padding: str = "same") -> Tensor:
-    """1-D convolution over (N, L, C_in) with kernel (K, C_in, C_out).
+def _conv(x, w, b, padding: str, nd: int) -> Tensor:
+    """Stride-1 convolution over nd spatial axes, shared by conv1d and
+    conv2d: input (N, *S, C_in), kernel (K,)*nd + (C_in, C_out), bias (C_out,).
 
-    'same' zero-pads to keep L; 'valid' yields L - K + 1 positions.
+    'same' zero-pads to keep S; 'valid' yields S - K + 1 positions per axis.
+    The forward pass is one matmul per kernel offset. The backward pass adds
+    one matmul per offset into the padded input gradient, takes each
+    offset's weight gradient with one einsum, and crops the padding off.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    n, length, c_in = x.data.shape
-    k, _, c_out = w.data.shape
+    if x.data.ndim != nd + 2 or w.data.ndim != nd + 2:
+        raise ValueError(f"{nd}-D convolution needs {nd + 2}-D input and kernel, "
+                         f"got {x.data.shape} and {w.data.shape}")
+    n, *size, _ = x.data.shape
+    k, c_out = w.data.shape[0], w.data.shape[-1]
     if padding == "same":
         lo = (k - 1) // 2
-        hi = k - 1 - lo
-        xp = np.pad(x.data, ((0, 0), (lo, hi), (0, 0)))
-        l_out = length
+        xp = np.pad(x.data, ((0, 0),) + ((lo, k - 1 - lo),) * nd + ((0, 0),))
+        out_size = size
     elif padding == "valid":
         lo = 0
         xp = x.data
-        l_out = length - k + 1
-        if l_out < 1:
-            raise ValueError(f"valid conv1d needs length >= {k}, got {length}")
+        out_size = [s - k + 1 for s in size]
+        if min(out_size) < 1:
+            raise ValueError(f"valid convolution needs spatial size >= {k}, "
+                             f"got {'x'.join(map(str, size))}")
     else:
         raise ValueError(f"unknown padding {padding!r}")
-    out_data = np.broadcast_to(b.data, (n, l_out, c_out)).copy()
-    for kk in range(k):
-        out_data += xp[:, kk : kk + l_out, :] @ w.data[kk]
+    # each kernel offset with the index of the input positions it multiplies
+    taps = [(off, (slice(None), *(slice(o, o + s) for o, s in zip(off, out_size)),
+                   slice(None)))
+            for off in itertools.product(range(k), repeat=nd)]
+    out_data = np.broadcast_to(b.data, (n, *out_size, c_out)).copy()
+    for off, win in taps:
+        out_data += xp[win] @ w.data[off]
+    axes = "hwxyz"[:nd]
+    gw_subscripts = f"n{axes}c,n{axes}d->cd"
+    crop = (slice(None), *(slice(lo, lo + s) for s in size), slice(None))
 
     def backward(g):
         gxp = np.zeros_like(xp)
         gw = np.zeros_like(w.data)
-        for kk in range(k):
-            gxp[:, kk : kk + l_out, :] += g @ w.data[kk].T
-            gw[kk] = np.einsum("nlc,nld->cd", xp[:, kk : kk + l_out, :], g)
-        if padding == "same" and k > 1:
-            gx = gxp[:, lo : lo + length, :]
-        else:
-            gx = gxp
-        x._accumulate(gx)
+        for off, win in taps:
+            gxp[win] += g @ w.data[off].T
+            gw[off] = np.einsum(gw_subscripts, xp[win], g)
+        x._accumulate(gxp[crop])
         w._accumulate(gw)
-        b._accumulate(g.sum(axis=(0, 1)))
+        b._accumulate(g.sum(axis=tuple(range(nd + 1))))
 
     return _make(out_data, (x, w, b), backward)
+
+
+def conv1d(x, w, b, padding: str = "same") -> Tensor:
+    """1-D convolution over (N, L, C_in) with kernel (K, C_in, C_out)."""
+    return _conv(x, w, b, padding, 1)
 
 
 def conv2d(x, w, b, padding: str = "same") -> Tensor:
     """2-D convolution over (N, H, W, C_in) with kernel (K, K, C_in, C_out)."""
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    n, height, width, c_in = x.data.shape
-    k, _, _, c_out = w.data.shape
-    if padding == "same":
-        lo = (k - 1) // 2
-        hi = k - 1 - lo
-        xp = np.pad(x.data, ((0, 0), (lo, hi), (lo, hi), (0, 0)))
-        h_out, w_out = height, width
-    elif padding == "valid":
-        lo = 0
-        xp = x.data
-        h_out, w_out = height - k + 1, width - k + 1
-        if h_out < 1 or w_out < 1:
-            raise ValueError(f"valid conv2d needs spatial size >= {k}, got {height}x{width}")
-    else:
-        raise ValueError(f"unknown padding {padding!r}")
-    out_data = np.broadcast_to(b.data, (n, h_out, w_out, c_out)).copy()
-    for ki in range(k):
-        for kj in range(k):
-            out_data += xp[:, ki : ki + h_out, kj : kj + w_out, :] @ w.data[ki, kj]
-
-    def backward(g):
-        gxp = np.zeros_like(xp)
-        gw = np.zeros_like(w.data)
-        for ki in range(k):
-            for kj in range(k):
-                gxp[:, ki : ki + h_out, kj : kj + w_out, :] += g @ w.data[ki, kj].T
-                gw[ki, kj] = np.einsum(
-                    "nhwc,nhwd->cd", xp[:, ki : ki + h_out, kj : kj + w_out, :], g
-                )
-        if padding == "same" and k > 1:
-            gx = gxp[:, lo : lo + height, lo : lo + width, :]
-        else:
-            gx = gxp
-        x._accumulate(gx)
-        w._accumulate(gw)
-        b._accumulate(g.sum(axis=(0, 1, 2)))
-
-    return _make(out_data, (x, w, b), backward)
+    return _conv(x, w, b, padding, 2)
 
 
 def maxpool2d(x, size: int = 2) -> Tensor:

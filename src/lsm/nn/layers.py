@@ -66,13 +66,18 @@ def _activate(x: Tensor, activation: str) -> Tensor:
     raise ValueError(f"unknown activation {activation!r}")
 
 
+def _init_weight(rng: np.random.Generator, fan_in: int, fan_out: int, shape,
+                 activation: str) -> np.ndarray:
+    """He-uniform ahead of a ReLU, Glorot-uniform otherwise."""
+    if activation == "relu":
+        return he_uniform(rng, fan_in, shape)
+    return glorot_uniform(rng, fan_in, fan_out, shape)
+
+
 class Dense(Layer):
     def __init__(self, rng, d_in: int, d_out: int, activation: str = "none"):
-        if activation == "relu":
-            w = he_uniform(rng, d_in, (d_in, d_out))
-        else:
-            w = glorot_uniform(rng, d_in, d_out, (d_in, d_out))
-        self.w = Tensor(w, requires_grad=True)
+        self.w = Tensor(_init_weight(rng, d_in, d_out, (d_in, d_out), activation),
+                        requires_grad=True)
         self.b = Tensor(np.zeros(d_out), requires_grad=True)
         self.activation = activation
 
@@ -83,42 +88,37 @@ class Dense(Layer):
         return _activate(add(matmul(x, self.w), self.b), self.activation)
 
 
-class Conv1D(Layer):
+class _Conv(Layer):
+    """Weights of a convolution over ``nd`` spatial axes: a (K,)*nd +
+    (C_in, C_out) kernel and a C_out bias. Each subclass's ``__call__``
+    looks its autodiff op up by module name when it runs, so a wrapper
+    patched onto this module (as perfbench/tracer.py does) is what runs."""
+
+    nd: int
+
     def __init__(self, rng, c_in: int, c_out: int, kernel: int = 3,
                  padding: str = "same", activation: str = "relu"):
-        fan_in = kernel * c_in
-        if activation == "relu":
-            w = he_uniform(rng, fan_in, (kernel, c_in, c_out))
-        else:
-            w = glorot_uniform(rng, fan_in, kernel * c_out, (kernel, c_in, c_out))
-        self.w = Tensor(w, requires_grad=True)
+        taps = kernel**self.nd
+        shape = (kernel,) * self.nd + (c_in, c_out)
+        self.w = Tensor(_init_weight(rng, taps * c_in, taps * c_out, shape, activation),
+                        requires_grad=True)
         self.b = Tensor(np.zeros(c_out), requires_grad=True)
         self.padding = padding
         self.activation = activation
 
     def param_items(self):
         return [("w", self.w), ("b", self.b)]
+
+
+class Conv1D(_Conv):
+    nd = 1
 
     def __call__(self, x: Tensor) -> Tensor:
         return _activate(conv1d(x, self.w, self.b, self.padding), self.activation)
 
 
-class Conv2D(Layer):
-    def __init__(self, rng, c_in: int, c_out: int, kernel: int = 3,
-                 padding: str = "same", activation: str = "relu"):
-        fan_in = kernel * kernel * c_in
-        if activation == "relu":
-            w = he_uniform(rng, fan_in, (kernel, kernel, c_in, c_out))
-        else:
-            w = glorot_uniform(rng, fan_in, kernel * kernel * c_out,
-                               (kernel, kernel, c_in, c_out))
-        self.w = Tensor(w, requires_grad=True)
-        self.b = Tensor(np.zeros(c_out), requires_grad=True)
-        self.padding = padding
-        self.activation = activation
-
-    def param_items(self):
-        return [("w", self.w), ("b", self.b)]
+class Conv2D(_Conv):
+    nd = 2
 
     def __call__(self, x: Tensor) -> Tensor:
         return _activate(conv2d(x, self.w, self.b, self.padding), self.activation)

@@ -233,6 +233,7 @@ class Model:
     def __init__(self, spec: ModelSpec, layers: list):
         self.spec = spec
         self.layers = layers
+        self._layout = _initial_state(spec)[1:]
         self._params: list[tuple[str, Tensor]] = []
         for i, layer in enumerate(layers):
             for name, t in layer.param_items():
@@ -240,9 +241,6 @@ class Model:
 
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self._params]
-
-    def param_names(self) -> list[str]:
-        return [n for n, _ in self._params]
 
     @property
     def n_params(self) -> int:
@@ -273,12 +271,7 @@ class Model:
         if x.shape[1:] != expected:
             raise ValueError(f"expected input shape (n, {', '.join(map(str, expected))}), "
                              f"got {x.shape}")
-        if self.spec.arch == "cnn1d":
-            return x[:, :, None]
-        if self.spec.arch == "vit":
-            h, w, p = expected
-            return x.reshape(x.shape[0], h * w, p)
-        return x
+        return x.reshape(x.shape[0], *self._layout)
 
     def forward(self, x: np.ndarray) -> Tensor:
         """Run the network; returns the (n, 1) logit tensor."""

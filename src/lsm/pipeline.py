@@ -581,6 +581,7 @@ def stage_train(cfg: PipelineConfig) -> dict:
     out = _stage_dir(cfg, "train")
     outputs = []
     summary = {}
+    cell_walls = {}
     for model_name, rep in CELLS:
         x_train, y_train = _cell_inputs(cfg, model_name, rep, sample_set, stacks,
                                         reducer, "train")
@@ -614,8 +615,8 @@ def stage_train(cfg: PipelineConfig) -> dict:
             "stopped_epoch": ckpt.history["stopped_epoch"],
             "best_val_loss": min(ckpt.history["val_loss"]),
             "n_params": int(ckpt.weights.size),
-            "wall_clock_s": round(wall, 3),
         }
+        cell_walls[cell_name(model_name, rep)] = round(wall, 3)
         log.info("train: %s best epoch %d of %d (%.1f s)",
                  cell_name(model_name, rep), ckpt.history["best_epoch"],
                  ckpt.history["stopped_epoch"], wall)
@@ -624,13 +625,21 @@ def stage_train(cfg: PipelineConfig) -> dict:
     outputs.append(summary_path)
     inputs = [os.path.join(cfg.out_dir, "sample", "samples.csv"),
               os.path.join(cfg.out_dir, "diagnose", "pca_model.json")]
-    return {"inputs": inputs, "outputs": outputs}
+    return {"inputs": inputs, "outputs": outputs, "cell_wall_clock_s": cell_walls}
 
 
 def _load_cell_checkpoint(cfg: PipelineConfig, model: str, rep: str):
     base = os.path.join(cfg.out_dir, "train", cell_name(model, rep))
     _require_artifact(base + ".json", "train", f"checkpoint {cell_name(model, rep)}")
     return load_checkpoint(base)
+
+
+def _require_current_pca(ckpt, name: str, pca_hash: str) -> None:
+    """Refuse a checkpoint trained against another PCA model than the one
+    in diagnose/pca_model.json."""
+    if ckpt.pca_hash is not None and ckpt.pca_hash != pca_hash:
+        raise StageError(f"checkpoint {name} was trained against a different PCA "
+                         "model; re-run the 'train' stage")
 
 
 def stage_evaluate(cfg: PipelineConfig) -> dict:
@@ -644,10 +653,8 @@ def stage_evaluate(cfg: PipelineConfig) -> dict:
     inputs = [os.path.join(cfg.out_dir, "sample", "samples.csv")]
     for model_name, rep in CELLS:
         ckpt = _load_cell_checkpoint(cfg, model_name, rep)
-        if rep == "embed_pca" and ckpt.pca_hash is not None and ckpt.pca_hash != pca_hash:
-            raise StageError(
-                f"checkpoint {cell_name(model_name, rep)} was trained against a "
-                "different PCA model; re-run the 'train' stage")
+        if rep == "embed_pca":
+            _require_current_pca(ckpt, cell_name(model_name, rep), pca_hash)
         x_val, y_val = _cell_inputs(cfg, model_name, rep, sample_set, stacks,
                                     reducer if rep == "embed_pca" else None,
                                     "validation")
@@ -684,9 +691,7 @@ def stage_map(cfg: PipelineConfig) -> dict:
     reducer = None
     if rep == "embed_pca":
         reducer, pca_hash = load_reducer(cfg)
-        if ckpt.pca_hash is not None and ckpt.pca_hash != pca_hash:
-            raise StageError("checkpoint was trained against a different PCA "
-                             "model; re-run the 'train' stage")
+        _require_current_pca(ckpt, cell_name(model_name, rep), pca_hash)
 
     scores = infer_raster(ckpt, stack, reducer=reducer)
     valid_scores = scores.values[scores.valid]
@@ -833,7 +838,8 @@ _STAGE_FUNCS = {
 
 def run_stage(stage: str, cfg: PipelineConfig) -> dict:
     """Execute one stage, then record hashes, versions, and wall clock in the
-    run manifest. Returns the manifest entry."""
+    run manifest, with the per-cell wall clocks of a stage that reports
+    them. Returns the manifest entry."""
     if stage not in _STAGE_FUNCS:
         raise ConfigError(f"unknown stage {stage!r}; expected one of {STAGES}")
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -855,6 +861,8 @@ def run_stage(stage: str, cfg: PipelineConfig) -> dict:
             "lsm": lsm.__version__,
         },
     }
+    if "cell_wall_clock_s" in artifacts:
+        entry["cell_wall_clock_s"] = artifacts["cell_wall_clock_s"]
     manifest_path = os.path.join(cfg.out_dir, "run_manifest.json")
     manifest = _read_json(manifest_path) if os.path.exists(manifest_path) else {"stages": {}}
     manifest["config"] = cfg.echo()

@@ -10,6 +10,8 @@ from lsm.nn.autodiff import (
     bce_with_logits,
     broadcast_to,
     concat,
+    conv1d,
+    conv2d,
     matmul,
     maxpool2d,
     mean,
@@ -238,6 +240,15 @@ class TestAlgebra:
     def test_matmul_requires_2d(self):
         with pytest.raises(ValueError):
             matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
+
+    @pytest.mark.parametrize("op,nd", [(conv1d, 1), (conv2d, 2)])
+    def test_conv_rejects_unknown_padding_and_small_valid_input(self, op, nd):
+        w, b = Tensor(np.ones((3,) * nd + (2, 4))), Tensor(np.zeros(4))
+        with pytest.raises(ValueError, match="unknown padding 'full'"):
+            op(Tensor(np.ones((1,) + (5,) * nd + (2,))), w, b, "full")
+        small = Tensor(np.ones((1,) + (2,) * nd + (2,)))
+        with pytest.raises(ValueError, match="valid convolution needs spatial size >= 3"):
+            op(small, w, b, padding="valid")
 
     def test_backward_needs_scalar(self):
         t = Tensor(np.ones((2, 2)), requires_grad=True)

@@ -1,16 +1,21 @@
 """Every lsm name the benchmark under perfbench/ looks up by attribute
-still resolves, so a rename or deletion in the package fails here rather
+still resolves, and the installed tracer still sees the convolutions, so a
+rename, a deletion or a call path the tracer cannot patch fails here rather
 than only in a traced benchmark run."""
 
 import ast
 import importlib
 import importlib.util
+import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                         "perfbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
 @pytest.fixture(scope="module")
@@ -53,3 +58,35 @@ def test_checks_imports_resolve():
         module = importlib.import_module(node.module)
         for alias in node.names:
             assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+
+
+def test_tracer_counts_conv_ops_and_layers():
+    # install() patches the lsm modules for good, so it runs in its own process
+    script = textwrap.dedent(f"""
+        import json, sys
+        sys.path.insert(0, {PERFBENCH!r})
+        import numpy as np
+        import tracer
+        rec = tracer.Recorder()
+        tracer.install(rec)
+        from lsm.nn.autodiff import bce_with_logits
+        from lsm.nn.models import build, build_cnn1d, build_cnn2d
+        from lsm.nn.training import Adam
+        rng = np.random.default_rng(0)
+        for spec in (build_cnn1d(6, seed=1), build_cnn2d(7, 7, 3, seed=2)):
+            model = build(spec)
+            x = rng.normal(size=(4, *spec.input_shape))
+            bce_with_logits(model.forward(x), np.array([0.0, 1.0, 0.0, 1.0])).backward()
+            Adam(model.parameters(), 1e-3, 0.9, 0.999, 1e-8).step()
+        json.dump({{name: tot["calls"] for name, tot in rec.totals.items()}}, sys.stdout)
+    """)
+    path = os.pathsep.join(p for p in (os.path.join(ROOT, "src"),
+                                       os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout)
+    for name in ("nn.autodiff.conv1d.fwd", "nn.autodiff.conv1d.bwd",
+                 "nn.autodiff.conv2d.fwd", "nn.autodiff.conv2d.bwd",
+                 "nn.layers.Conv1D.fwd", "nn.layers.Conv2D.fwd"):
+        assert calls.get(name, 0) >= 1, name

@@ -261,6 +261,9 @@ class TestStageChain:
             assert sha(os.path.join(completed.out_dir, rel)) == recorded
         versions = report["versions"]
         assert set(versions) == {"python", "numpy", "lsm"}
+        cell_walls = manifest["stages"]["train"]["cell_wall_clock_s"]
+        assert set(cell_walls) == {cell_name(m, r) for m, r in CELLS}
+        assert all(s >= 0.0 for s in cell_walls.values())
         assert manifest["config"]["sampling"]["window"]["value"] == 7
 
     def test_evaluate_rerun_reuses_checkpoints(self, completed):
@@ -286,7 +289,7 @@ class TestStageChain:
 
     def test_full_rerun_is_byte_identical(self, completed, tmp_path):
         other = run_all(tmp_path / "again")
-        rels = ["report/comparison.csv"]
+        rels = ["report/comparison.csv", "train/train.json"]
         rels += [f"train/{model}_{rep}.bin" for model, rep in CELLS]
         rels += [f"map/vit_embed_full/{name}" for name in ("scores.asc", "classes.asc")]
         for rel in rels:
@@ -359,6 +362,27 @@ class TestInfeasibleSample:
         self.assert_fails("train", config, message, capsys)
         assert not os.path.exists(os.path.join(out, "train", f"{name}.json"))
         assert not os.path.exists(os.path.join(out, "train", f"{name}.bin"))
+
+
+class TestStalePcaModel:
+    """A checkpoint trained against another PCA model than the one in
+    diagnose/ stops evaluate and map with a StageError naming the cell."""
+
+    def test_evaluate_and_map_refuse_changed_pca_model(self, completed, tmp_path, capsys):
+        out = str(tmp_path / "stale")
+        shutil.copytree(completed.out_dir, out)
+        with open(os.path.join(out, "diagnose", "pca_model.json"), "a") as fh:
+            fh.write("\n")
+        user = small_user_config(out)
+        for stage, extra, name in (("evaluate", {}, "cnn1d_embed_pca"),
+                                   ("map", {"representation": "embed_pca"}, "vit_embed_pca")):
+            config = os.path.join(out, f"{stage}.json")
+            with open(config, "w") as fh:
+                json.dump({**user, **extra}, fh)
+            capsys.readouterr()
+            assert cli_main([stage, "--config", config, "--quiet"]) == 3
+            assert (f"lsm: checkpoint {name} was trained against a different PCA model"
+                    in capsys.readouterr().err)
 
 
 class TestMissingPrerequisites:
